@@ -5,7 +5,9 @@
 * :class:`~repro.decoders.astrea.AstreaDecoder` -- exact brute-force
   RT-MWPM for syndromes of HW <= 10 [Vittal et al., ISCA'23].
 * :class:`~repro.decoders.astrea_g.AstreaGDecoder` -- Astrea-G: pruned,
-  budgeted greedy near-exhaustive search.
+  budgeted branch-and-bound seeded with a greedy incumbent
+  (:class:`~repro.decoders.astrea_g.ReferenceAstreaGDecoder` retains the
+  recursive search as the equivalence oracle).
 * :class:`~repro.core.promatch.PromatchPredecoder` -- the paper's
   contribution (in :mod:`repro.core`).
 * :class:`~repro.decoders.smith.SmithPredecoder` -- Smith et al. greedy
@@ -22,7 +24,7 @@
 """
 
 from repro.decoders.astrea import AstreaDecoder
-from repro.decoders.astrea_g import AstreaGDecoder
+from repro.decoders.astrea_g import AstreaGDecoder, ReferenceAstreaGDecoder
 from repro.decoders.base import DecodeResult, Decoder, PredecodeResult, Predecoder
 from repro.decoders.clique import CliquePredecoder
 from repro.decoders.combined import (
@@ -48,6 +50,7 @@ __all__ = [
     "ParallelDecoder",
     "PredecodedDecoder",
     "MWPMDecoder",
+    "ReferenceAstreaGDecoder",
     "ReferenceUnionFindDecoder",
     "SmithPredecoder",
     "UnionFindDecoder",

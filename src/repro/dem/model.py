@@ -89,8 +89,28 @@ class DetectorErrorModel:
     detector_coords: List[Tuple[int, int, int]]
 
     def probabilities(self, p: float) -> np.ndarray:
-        """Vector of mechanism firing probabilities at base rate ``p``."""
-        return np.array([m.probability(p) for m in self.mechanisms], dtype=np.float64)
+        """Vector of mechanism firing probabilities at base rate ``p``.
+
+        Memoized per ``p``: every sampler and estimator at the same rate
+        shares one read-only array.  The memo is not a field, so it takes
+        no part in ``__eq__``, and :meth:`__getstate__` leaves it out of
+        pickles (the DEM cache file and worker-pool payloads).
+        """
+        memo = self.__dict__.setdefault("_probability_memo", {})
+        probabilities = memo.get(p)
+        if probabilities is None:
+            probabilities = np.array(
+                [m.probability(p) for m in self.mechanisms], dtype=np.float64
+            )
+            probabilities.flags.writeable = False
+            # setdefault: threads racing on a cold ``p`` share one array.
+            probabilities = memo.setdefault(p, probabilities)
+        return probabilities
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_probability_memo", None)
+        return state
 
     def expected_fault_count(self, p: float) -> float:
         """Mean number of mechanisms firing per shot at rate ``p``."""

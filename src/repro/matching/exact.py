@@ -79,37 +79,41 @@ def _solve_bitmask_dp(
     """O(2^n * n) DP over subsets of unmatched events."""
     n = len(boundary_weights)
     full = (1 << n) - 1
-    infinity = float("inf")
-    cost = [infinity] * (full + 1)
-    choice: List[Optional[Tuple[int, int]]] = [None] * (full + 1)
-    cost[0] = 0.0
+    rows = np.asarray(pair_weights, dtype=np.float64).tolist()
+    bounds = np.asarray(boundary_weights, dtype=np.float64).tolist()
+    cost = [0.0] * (full + 1)
+    # choice[mask]: the bit of the lowest set event's partner, 0 = boundary.
+    choice = [0] * (full + 1)
     for mask in range(1, full + 1):
-        lowest = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << lowest)
+        low = mask & -mask
+        rest = mask ^ low
+        lowest = low.bit_length() - 1
         # Option 1: match the lowest set event to the boundary.
-        best = cost[rest] + float(boundary_weights[lowest])
-        best_choice: Tuple[int, int] = (lowest, -1)
+        best = cost[rest] + bounds[lowest]
+        best_bit = 0
         # Option 2: match it with any other event in the mask.
+        row = rows[lowest]
         other = rest
         while other:
-            j = (other & -other).bit_length() - 1
-            other ^= 1 << j
-            candidate = cost[rest ^ (1 << j)] + float(pair_weights[lowest, j])
+            bit = other & -other
+            other ^= bit
+            candidate = cost[rest ^ bit] + row[bit.bit_length() - 1]
             if candidate < best:
                 best = candidate
-                best_choice = (lowest, j)
+                best_bit = bit
         cost[mask] = best
-        choice[mask] = best_choice
+        choice[mask] = best_bit
     solution = MatchingSolution(total_weight=cost[full])
     mask = full
     while mask:
-        i, j = choice[mask]  # type: ignore[misc]
-        if j < 0:
-            solution.boundary.append(i)
-            mask ^= 1 << i
+        low = mask & -mask
+        i = low.bit_length() - 1
+        partner_bit = choice[mask]
+        if partner_bit:
+            solution.pairs.append((i, partner_bit.bit_length() - 1))
         else:
-            solution.pairs.append((min(i, j), max(i, j)))
-            mask ^= (1 << i) | (1 << j)
+            solution.boundary.append(i)
+        mask ^= low | partner_bit
     solution.pairs.sort()
     solution.boundary.sort()
     return solution

@@ -8,8 +8,7 @@ globally cheapest available option (event-event pair or event-boundary).
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +36,6 @@ def greedy_matching(
     n = len(boundary_weights)
     active = sorted(events) if events is not None else list(range(n))
     active_set = set(active)
-    heap: List[Tuple[float, int, int]] = []
     if allowed_pairs is None:
         candidate_pairs = [
             (i, j)
@@ -50,15 +48,18 @@ def greedy_matching(
             for i, j in allowed_pairs
             if i in active_set and j in active_set and i != j
         ]
-    for i, j in candidate_pairs:
-        heapq.heappush(heap, (float(pair_weights[i, j]), i, j))
-    for i in active:
-        heapq.heappush(heap, (float(boundary_weights[i]), i, -1))
+    rows = np.asarray(pair_weights, dtype=np.float64).tolist()
+    bounds = np.asarray(boundary_weights, dtype=np.float64).tolist()
+    options = [(rows[i][j], i, j) for i, j in candidate_pairs]
+    options += [(bounds[i], i, -1) for i in active]
+    options.sort()
 
     solution = MatchingSolution()
     unmatched = set(active)
-    while unmatched and heap:
-        weight, i, j = heapq.heappop(heap)
+    # Every event has a boundary option, so the scan matches them all.
+    for weight, i, j in options:
+        if not unmatched:
+            break
         if i not in unmatched or (j >= 0 and j not in unmatched):
             continue
         if j < 0:
@@ -69,11 +70,6 @@ def greedy_matching(
             unmatched.discard(i)
             unmatched.discard(j)
         solution.total_weight += weight
-    # Anything left (possible only when allowed_pairs excluded its options
-    # and the heap ran dry) falls back to the boundary.
-    for i in sorted(unmatched):
-        solution.boundary.append(i)
-        solution.total_weight += float(boundary_weights[i])
     solution.pairs.sort()
     solution.boundary.sort()
     return solution

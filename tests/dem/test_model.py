@@ -1,5 +1,8 @@
 """Tests for the detector-error-model data structures."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.circuits.ops import NoiseClass
@@ -98,3 +101,34 @@ class TestValidation:
             detector_coords=[(0, 0, 0)] * 3,
         )
         assert dem.mechanism_size_histogram() == {1: 1, 2: 2}
+
+
+class TestProbabilityMemo:
+    def test_memo_equals_per_mechanism_loop(self, d3_stack):
+        _exp, dem, _graph = d3_stack
+        for p in (1e-4, 3e-3):
+            loop = np.array([m.probability(p) for m in dem.mechanisms])
+            memo = dem.probabilities(p)
+            assert memo.dtype == np.float64
+            assert memo.tobytes() == loop.tobytes()
+            assert dem.probabilities(p) is memo
+
+    def test_memo_is_read_only(self, d3_stack):
+        _exp, dem, _graph = d3_stack
+        with pytest.raises(ValueError):
+            dem.probabilities(1e-3)[0] = 0.5
+
+    def test_pickle_carries_no_memo(self):
+        dem = DetectorErrorModel(
+            n_detectors=2,
+            n_observables=1,
+            mechanisms=[make_mechanism((0, 1), RESET_FLIP=1)],
+            detector_coords=[(0, 0, 0), (0, 1, 0)],
+        )
+        cold = pickle.dumps(dem)
+        dem.probabilities(1e-3)
+        assert pickle.dumps(dem) == cold
+        clone = pickle.loads(cold)
+        assert clone == dem
+        assert "_probability_memo" not in clone.__dict__
+        assert clone.probabilities(1e-3).tobytes() == dem.probabilities(1e-3).tobytes()
