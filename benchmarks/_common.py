@@ -25,19 +25,13 @@ also override whatever a campaign spec declares.  The env vars:
 * ``REPRO_BENCH_BATCH_SIZE``   -- cap on shots per decode_batch call
   (default 0 = unbounded).
 * ``REPRO_BENCH_STORE``        -- experiment-store file (``--store``):
-  every completed Eq. (1) / direct-MC work slice is persisted so a
-  killed sweep keeps its progress (default unset = no store).
-* ``REPRO_BENCH_RESUME``       -- ``1`` replays slices already in the
-  store and runs only the residual shots (``--resume``); bitwise
-  identical to an uninterrupted run.  Default 1 when a store is set.
-  (Campaign-backed drivers always resume -- the store is their cache.)
+  every completed Eq. (1) / direct-MC work slice is persisted, and
+  campaign-backed drivers replay it -- the store is their cache -- so a
+  killed run keeps its progress (default unset = no store).
 * ``REPRO_BENCH_MIN_REL_PRECISION`` -- optional relative-precision
   target (``--min-rel-precision``): shots keep doubling on the widest
   k rows until every decoder's statistical CI width is below
   ``target * LER`` (default unset = fixed budgets).
-* ``REPRO_BENCH_GRID``             -- the sweep benchmark's operating
-  grid as ``"d1,d2:p1,p2"`` (distances before the colon, error rates
-  after; default = the headline distances x the Figures 14/15 rates).
 * ``REPRO_BENCH_SPEEDUP_DISTANCE`` / ``REPRO_BENCH_SPEEDUP_SHOTS`` --
   workload of the batch-vs-loop speedup bench (defaults 5 / 20000;
   CI smoke shrinks both).
@@ -78,14 +72,14 @@ session forks its worker set once instead of once per estimator round.
 Each benchmark prints its table (so ``pytest benchmarks/ --benchmark-only
 -s`` shows the paper-shaped output) and writes a JSON artifact under
 ``benchmarks/results/`` for EXPERIMENTS.md; the artifact embeds the
-run context (shot knobs, store/resume state) so resumed and fresh
-sweeps are distinguishable after the fact.
+run context (shot knobs, shards, store) so runs at different scales are
+distinguishable after the fact.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.eval.experiments import Workbench
 from repro.eval.knobs import (
@@ -99,17 +93,6 @@ from repro.utils.rng import stable_seed
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 CAMPAIGNS_DIR = Path(__file__).resolve().parent / "campaigns"
-
-
-def _parse_grid(text: str) -> Tuple[List[int], List[float]]:
-    distance_part, _, rate_part = text.partition(":")
-    distances = [int(tok) for tok in distance_part.split(",") if tok.strip()]
-    rates = [float(tok) for tok in rate_part.split(",") if tok.strip()]
-    if not distances or not rates:
-        raise ValueError(
-            f"REPRO_BENCH_GRID must look like 'd1,d2:p1,p2', got {text!r}"
-        )
-    return distances, rates
 
 
 #: The bench knob registry: the core workload knobs shared with campaign
@@ -154,8 +137,6 @@ KNOBS.register("serve_speedup_floor", "REPRO_BENCH_SERVE_SPEEDUP_FLOOR",
                parse_float, 2.0,
                "minimum micro-batch/per-request throughput ratio the "
                "bench asserts (CI smoke sets 0 at toy scale)")
-KNOBS.register("grid", "REPRO_BENCH_GRID", _parse_grid, None,
-               "sweep bench operating grid as 'd1,d2:p1,p2'")
 
 
 def shots_per_k() -> int:
@@ -168,10 +149,6 @@ def census_shots() -> int:
 
 def k_max() -> int:
     return int(KNOBS.resolve("k_max"))
-
-
-def headline_distances() -> List[int]:
-    return [int(d) for d in KNOBS.resolve("distances")]
 
 
 def afs_distance() -> int:
@@ -260,18 +237,6 @@ def census_shards() -> int:
     return eval_shards() if value is None else max(1, int(value))
 
 
-def grid_from_env() -> Tuple[List[int], List[float]]:
-    """The sweep benchmark's (distances, error rates) operating grid.
-
-    ``REPRO_BENCH_GRID`` is ``"d1,d2:p1,p2"``; unset falls back to the
-    headline distances x the Figures 14/15 error-rate range.
-    """
-    value = KNOBS.resolve("grid")
-    if value is None:
-        return headline_distances(), [1e-4, 3e-4, 5e-4]
-    return value
-
-
 _WORKER_POOL: Optional[WorkerPool] = None
 
 
@@ -297,31 +262,9 @@ def experiment_store() -> Optional[ExperimentStore]:
     return ExperimentStore(path) if path else None
 
 
-def resume_enabled() -> bool:
-    """Resume defaults on whenever a store is configured."""
-    return bool(KNOBS.resolve("resume"))
-
-
 def min_rel_precision() -> Optional[float]:
     value = KNOBS.resolve("min_rel_precision")
     return None if value is None else float(value)
-
-
-def ler_store_kwargs(bench: Workbench, kind: str = "eq1") -> dict:
-    """Store/resume/precision kwargs for one estimator call.
-
-    The store key is derived from the workbench's full configuration
-    (code, distance, rounds, noise, p, estimator kind), so each
-    operating point of a sweep owns an independent set of slices in the
-    shared store file.
-    """
-    store = experiment_store()
-    return dict(
-        store=store,
-        store_key=bench.store_key(kind) if store is not None else None,
-        resume=store is not None and resume_enabled(),
-        min_rel_precision=min_rel_precision(),
-    )
 
 
 def run_campaign_spec(spec_name: str, progress=None):
@@ -354,7 +297,6 @@ def run_context() -> dict:
         "shards": eval_shards(),
         "census_shards": census_shards(),
         "store": str(store.path) if store is not None else None,
-        "resume": store is not None and resume_enabled(),
         "min_rel_precision": min_rel_precision(),
     }
 
@@ -375,7 +317,7 @@ def get_workbench(distance: int, p: float) -> Workbench:
 def save_results(name: str, payload: dict) -> Path:
     """Persist a benchmark's numbers for the EXPERIMENTS.md comparison.
 
-    The run context (shot knobs, store/resume state) is attached under
+    The run context (shot knobs, shards, store) is attached under
     ``"context"`` unless the payload already carries one.  The write is
     atomic (temp file + rename), so a crashed bench never leaves a
     truncated artifact behind.

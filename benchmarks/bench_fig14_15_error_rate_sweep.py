@@ -41,7 +41,7 @@ NAMES = (
 )
 
 
-def run_sweep() -> dict:
+def run_error_rate_grid() -> dict:
     result = run_campaign_spec("fig14_15.toml")
     payload = {"error_rates": list(ERROR_RATES), "series": {}}
     for outcome in result.outcomes:
@@ -55,7 +55,7 @@ def run_sweep() -> dict:
 
 
 def bench_fig14_15_error_rate_sweep(benchmark):
-    payload = run_once(benchmark, run_sweep)
+    payload = run_once(benchmark, run_error_rate_grid)
     for distance, per_p in payload["series"].items():
         rates = list(per_p)
         rows = [

@@ -5,9 +5,10 @@ Subcommands mirror the workflows a downstream user actually wants:
 * ``info``      -- stack summary for a configuration (graph sizes, storage,
   Astrea capability window).
 * ``ler``       -- logical error rate, direct Monte-Carlo or Eq. (1).
-* ``sweep``     -- a whole (distance, p) grid of LER points as one
-  resumable unit: single store, per-point keys, round-robin precision
-  refinement, one persistent worker pool, one JSON artifact.
+* ``sweep``     -- a whole (distance, p) grid of LER points from flags:
+  compiled into a one-entry campaign and run like ``campaign run`` (one
+  store as the cache, per-point keys and seeds, one persistent worker
+  pool, one JSON artifact).
 * ``campaign``  -- run (``campaign run``) or inspect (``campaign
   status`` / ``campaign explain``) a declarative TOML campaign spec:
   a DAG of store-backed steps where fully-covered steps are skipped
@@ -41,7 +42,7 @@ Examples::
     python -m repro ler --distance 11 --p 1e-4 --method eq1 \\
         --store sweep.jsonl --resume         # kill-and-resume safe
     python -m repro sweep --distances 11,13 --ps 1e-4,3e-4,5e-4 \\
-        --shots-per-k 200 --shards 4 --store table.jsonl --resume \\
+        --shots-per-k 200 --shards 4 --store table.jsonl \\
         --min-rel-precision 0.2 --out table.json
     python -m repro campaign run benchmarks/campaigns/table2.toml \\
         --store table2.jsonl --shards 4 --out table2.json
@@ -57,10 +58,10 @@ Examples::
         --campaign benchmarks/campaigns/table2.toml
     python -m repro store prune sweep.jsonl --keep 0123abcd4567ef89
 
-The ``--store``/``--resume`` pair makes ``ler`` and ``sweep`` runs
-restartable: every completed work slice is appended to the store file,
-and a resumed run replays them and pays only for the residual shots
-(see docs/experiment_store.md).  Campaign runs always resume -- the
+The ``--store``/``--resume`` pair makes ``ler`` runs restartable:
+every completed work slice is appended to the store file, and a resumed
+run replays them and pays only for the residual shots (see
+docs/experiment_store.md).  Campaign and sweep runs always resume -- the
 store is their cache -- and flags follow the knob precedence rule
 (CLI flag > env var > spec value > default; see docs/campaigns.md).
 """
@@ -133,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="walk a (distance, p) grid of LER points as one resumable "
-             "sweep against a single store",
+        help="run a (distance, p) grid of LER points as a flag-built "
+             "campaign (the store is its cache)",
     )
     sweep.add_argument(
         "--distances", default="3,5", metavar="D1,D2,...",
@@ -165,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--shards", type=int, default=1,
         help="worker processes; the whole grid shares one persistent "
-             "pool (identical results at any width)",
+             "pool (Eq. (1) results are identical at any width; direct "
+             "MC draws its slices per shard)",
     )
     sweep.add_argument(
         "--batch-size", type=int, default=None,
@@ -174,18 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--store", default=None, metavar="PATH",
         help="single experiment-store file shared by every grid point "
-             "(per-point keys)",
-    )
-    sweep.add_argument(
-        "--resume", action="store_true",
-        help="replay slices already in --store and run only the "
-             "residual shots (a killed sweep resumes bitwise)",
+             "(per-point keys); covered points are replayed, so a killed "
+             "sweep re-run resumes bitwise",
     )
     sweep.add_argument(
         "--min-rel-precision", type=float, default=None, metavar="R",
-        help="global precision target: refinement rounds are allocated "
-             "round-robin across grid points until every decoder's CI "
-             "width is below R * LER",
+        help="precision target: each grid point keeps refining until "
+             "every decoder's CI width is below R * LER",
     )
     sweep.add_argument(
         "--max-refine-rounds", type=int, default=6,
@@ -372,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     store_prune.add_argument(
         "--keep", required=True, metavar="KEY1,KEY2,...",
         help="comma-separated config keys to retain (list them with "
-             "`store info`; a sweep prints each point's key via its "
-             "workbench store_key)",
+             "`store info`; a campaign or sweep artifact carries each "
+             "step's key as its config field)",
     )
     store_prune.add_argument(
         "--dry-run", action="store_true",
@@ -405,7 +402,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     handler = {
         "info": _run_info,
         "ler": _run_ler,
-        "sweep": _run_sweep,
+        "sweep": _run_grid_sweep,
         "campaign": _run_campaign,
         "latency": _run_latency,
         "steps": _run_steps,
@@ -511,62 +508,96 @@ def _run_ler(args) -> None:
         ))
 
 
-def _run_sweep(args) -> None:
-    from repro.eval.store import open_store
-    from repro.eval.sweep import SweepGrid, run_sweep
+def _sweep_spec(args):
+    """The one-entry raw spec and knob values the sweep flags stand for.
 
-    distances = tuple(
-        int(tok) for tok in args.distances.split(",") if tok.strip()
-    )
-    error_rates = tuple(
-        float(tok) for tok in args.ps.split(",") if tok.strip()
-    )
-    names = tuple(n.strip() for n in args.decoders.split(",") if n.strip())
-    grid = SweepGrid(
-        distances=distances,
-        error_rates=error_rates,
-        kind=args.method,
-        decoders=names,
-        shots_per_k=args.shots_per_k,
-        k_max=args.k_max,
-        shots=args.shots,
-    )
-    try:
-        result = run_sweep(
-            grid,
-            seed=args.seed,
-            store=open_store(args.store),
-            resume=args.resume,
-            min_rel_precision=args.min_rel_precision,
-            max_refine_rounds=args.max_refine_rounds,
-            shards=args.shards,
-            batch_size=args.batch_size,
-            progress=lambda line: print(f"  [sweep] {line}"),
+    The flags that are knobs go in as CLI values, so they still outrank
+    environment variables.
+    """
+    raw = {
+        "campaign": {"name": "sweep"},
+        "steps": [{
+            "name": "sweep",
+            "kind": args.method,
+            "decoders": [
+                n.strip() for n in args.decoders.split(",") if n.strip()
+            ],
+            "error_rates": [
+                float(tok) for tok in args.ps.split(",") if tok.strip()
+            ],
+            "shots": args.shots,
+            "max_refine_rounds": args.max_refine_rounds,
+        }],
+    }
+    cli = {
+        "seed": args.seed,
+        "store": args.store,
+        "shards": args.shards,
+        "batch_size": args.batch_size,
+        "distances": [
+            int(tok) for tok in args.distances.split(",") if tok.strip()
+        ],
+        "shots_per_k": args.shots_per_k,
+        "k_max": args.k_max,
+        "min_rel_precision": args.min_rel_precision,
+    }
+    return raw, cli
+
+
+def _sweep_campaign(args):
+    """Compile the sweep flags through the campaign compiler.
+
+    Raises ``ValueError`` on an invalid spec, exactly as a TOML spec
+    would.
+    """
+    import dataclasses
+
+    from repro.eval.campaign import _compile
+    from repro.eval.knobs import CORE_KNOBS
+    from repro.utils.rng import stable_seed
+
+    raw, cli = _sweep_spec(args)
+    campaign = _compile(raw, cli, CORE_KNOBS, None)
+    # Per-point seeds independent of grid walk order; stores written by
+    # earlier sweeps carry exactly these seeds.
+    campaign.steps = [
+        dataclasses.replace(
+            step,
+            seed=stable_seed(
+                "sweep-point", args.seed, step.distance, step.p, args.method
+            ),
         )
+        for step in campaign.steps
+    ]
+    return campaign
+
+
+def _run_grid_sweep(args) -> None:
+    """Compile the sweep flags into a one-entry campaign and run it."""
+    raw, cli = _sweep_spec(args)
+    distances = cli["distances"]
+    error_rates = raw["steps"][0]["error_rates"]
+    names = raw["steps"][0]["decoders"]
+    try:
+        campaign = _sweep_campaign(args)
     except ValueError as error:
         sys.exit(str(error))
+    result = _run_and_report(campaign, args.out)
     for distance in distances:
-        rows = []
-        for name in names:
-            rows.append([name] + [
-                format_scientific(result.point(distance, p).results[name].ler)
+        rows = [
+            [name] + [
+                format_scientific(
+                    result.point("sweep", distance, p)["decoders"][name]["ler"]
+                )
                 for p in error_rates
-            ])
+            ]
+            for name in names
+        ]
         print(format_table(
             ["decoder"] + [f"p={p:g}" for p in error_rates],
             rows,
             title=f"sweep ({args.method}) | d={distance}",
         ))
-    if result.points and result.points[0].usable_trials is not None:
-        trials = ", ".join(
-            f"d={entry.distance}/p={entry.p:g}: {entry.usable_trials}"
-            for entry in result.points
-        )
-        print(f"usable trials in store: {trials}")
-    print(f"worker-pool forks this sweep: {result.pool_forks}")
-    if args.out:
-        path = result.save(args.out)
-        print(f"consolidated artifact written to {path}")
 
 
 def _campaign_cli(args) -> dict:
@@ -619,36 +650,51 @@ def _print_coverage(coverage, title: str) -> None:
     print(f"{cached}/{len(coverage)} steps fully covered by the store")
 
 
-def _run_campaign(args) -> None:
-    from repro.eval.campaign import campaign_status, run_campaign
+def _run_and_report(campaign, out: Optional[str]):
+    """Run a compiled campaign; print its step table and run summary.
 
-    campaign = _load_campaign_or_exit(args.spec, _campaign_cli(args))
-    if args.campaign_command == "run":
+    The one execution path behind ``campaign run`` and ``sweep``.  A
+    step naming a decoder the zoo lacks exits cleanly instead of with a
+    traceback.
+    """
+    from repro.eval.campaign import run_campaign
+
+    try:
         result = run_campaign(
             campaign, progress=lambda line: print(f"  [campaign] {line}")
         )
-        rows = [
-            [
-                outcome.step.step_id,
-                outcome.step.kind_key,
-                f"{outcome.usable}/{outcome.budget}",
-                "cached" if outcome.cached else "ran",
-            ]
-            for outcome in result.outcomes
+    except ValueError as error:
+        sys.exit(str(error))
+    rows = [
+        [
+            outcome.step.step_id,
+            outcome.step.kind_key,
+            f"{outcome.usable}/{outcome.budget}",
+            "cached" if outcome.cached else "ran",
         ]
-        print(format_table(
-            ["step", "kind", "trials", "outcome"], rows,
-            title=f"campaign {campaign.name}",
-        ))
-        print(
-            f"executed {len(result.executed)} steps, skipped "
-            f"{len(result.skipped)} cached steps, pool forks "
-            f"{result.pool_forks}"
-        )
-        out = args.out or campaign.out
-        if out:
-            path = result.save(out)
-            print(f"consolidated artifact written to {path}")
+        for outcome in result.outcomes
+    ]
+    print(format_table(
+        ["step", "kind", "trials", "outcome"], rows,
+        title=f"campaign {campaign.name}",
+    ))
+    print(
+        f"executed {len(result.executed)} steps, skipped "
+        f"{len(result.skipped)} cached steps, pool forks "
+        f"{result.pool_forks}"
+    )
+    if out:
+        path = result.save(out)
+        print(f"consolidated artifact written to {path}")
+    return result
+
+
+def _run_campaign(args) -> None:
+    from repro.eval.campaign import campaign_status
+
+    campaign = _load_campaign_or_exit(args.spec, _campaign_cli(args))
+    if args.campaign_command == "run":
+        _run_and_report(campaign, args.out or campaign.out)
         return
     coverage = campaign_status(campaign)
     if args.campaign_command == "status":

@@ -1,4 +1,4 @@
-"""Evaluation harness: LER estimation, sweeps, censuses, caching, reporting."""
+"""Evaluation harness: LER estimation, campaigns, censuses, caching, reporting."""
 
 from repro.eval.ler import (
     DirectMonteCarloResult,
@@ -10,7 +10,6 @@ from repro.eval.ler import (
 from repro.eval.poisson_binomial import poisson_binomial_pmf
 from repro.eval.experiments import Workbench
 from repro.eval.pool import WorkerPool
-from repro.eval.sweep import SweepGrid, SweepResult, run_sweep
 from repro.eval.threshold import crossing_point, lambda_factor, projected_ler
 
 __all__ = [
@@ -22,9 +21,6 @@ __all__ = [
     "poisson_binomial_pmf",
     "Workbench",
     "WorkerPool",
-    "SweepGrid",
-    "SweepResult",
-    "run_sweep",
     "crossing_point",
     "lambda_factor",
     "projected_ler",

@@ -22,8 +22,8 @@ artifact.
 
 Coverage has one source of truth: the cache decision is made by the
 same slice-replay logic a live run executes
-(:class:`~repro.eval.sweep.Eq1PointRunner` /
-:class:`~repro.eval.sweep.DirectPointRunner` in replay-only mode,
+(:class:`~repro.eval.ler.Eq1PointRunner` /
+:class:`~repro.eval.ler.DirectPointRunner` in replay-only mode,
 raising :class:`~repro.eval.ler.ResidualWorkNeeded` when shots are
 missing), so ``campaign status`` / ``campaign explain`` /
 ``store info --campaign`` report exactly what ``campaign run`` would
@@ -45,7 +45,12 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.eval.knobs import CORE_KNOBS, MISSING, KnobRegistry
-from repro.eval.ler import ResidualWorkNeeded
+from repro.eval.ler import (
+    DirectPointRunner,
+    Eq1PointRunner,
+    ResidualWorkNeeded,
+    _estimate_payload,
+)
 from repro.eval.pool import WorkerPool
 from repro.eval.store import (
     ArtifactRecord,
@@ -53,11 +58,6 @@ from repro.eval.store import (
     config_key,
     open_store,
     atomic_write_json,
-)
-from repro.eval.sweep import (
-    DirectPointRunner,
-    Eq1PointRunner,
-    _estimate_payload,
 )
 from repro.utils.rng import stable_seed
 

@@ -71,10 +71,11 @@ Every estimator accepts ``pool=`` (a
 :class:`~repro.eval.pool.WorkerPool`): the sharded rounds then reuse the
 pool's live workers instead of forking a throwaway pool per round.  The
 Eq. (1) engine is additionally exposed incrementally as
-:class:`Eq1Session`, so the sweep orchestrator
-(:mod:`repro.eval.sweep`) can interleave refinement rounds of many
-operating points over one pool.  Results are identical with or without
-a pool at any width (the shard-seeding contract above).
+:class:`Eq1Session`, wrapped with the direct-MC budget doubling into
+the point runners (:class:`Eq1PointRunner`, :class:`DirectPointRunner`)
+that the campaign executor (:mod:`repro.eval.campaign`) drives step by
+step over one pool.  Results are identical with or without a pool at
+any width (the shard-seeding contract above).
 """
 
 from __future__ import annotations
@@ -500,9 +501,9 @@ class Eq1Session:
     exposes the evaluation loop as separate steps (:meth:`base_plan`,
     :meth:`refinement_plan`, :meth:`evaluate_round`, :meth:`assemble`).
     The single-point estimators drive one session start to finish; the
-    sweep orchestrator (:mod:`repro.eval.sweep`) keeps one session per
-    grid point and round-robins refinement rounds across all of them
-    over one persistent :class:`~repro.eval.pool.WorkerPool`.
+    campaign executor drives one per step through
+    :class:`Eq1PointRunner`, all of them over one persistent
+    :class:`~repro.eval.pool.WorkerPool`.
 
     Per-k base seeds are drawn up front from the caller's generator, so
     the sampled workloads -- and therefore every estimate -- are
@@ -696,6 +697,238 @@ class Eq1Session:
                 truncation_bound=self.tail,
             )
         return results
+
+
+def _estimate_payload(result) -> dict:
+    """JSON row for one decoder's estimate (either estimator family)."""
+    if isinstance(result, DirectMonteCarloResult):
+        est = result.estimate
+        return {
+            "ler": est.rate,
+            "low": est.low,
+            "high": est.high,
+            "failures": est.successes,
+            "trials": est.trials,
+        }
+    assert isinstance(result, ImportanceLerResult)
+    return {
+        "ler": result.ler,
+        "ler_low": result.ler_low,
+        "ler_high": result.ler_high,
+        "truncation_bound": result.truncation_bound,
+        "trials": sum(est.trials for _k, _po, est in result.per_k),
+        "per_k": [
+            {
+                "k": k,
+                "p_o": po,
+                "failures": est.successes,
+                "trials": est.trials,
+                "rate": est.rate,
+                "low": est.low,
+                "high": est.high,
+            }
+            for k, po, est in result.per_k
+        ],
+    }
+
+
+def _direct_target_met(
+    results: Mapping[str, DirectMonteCarloResult], min_rel_precision: float
+) -> bool:
+    """Every nonzero-LER decoder's CI width within the relative target.
+
+    Zero-LER decoders are excluded, mirroring ``_refinement_plan``: no
+    relative target exists for a zero point estimate.
+    """
+    for result in results.values():
+        est = result.estimate
+        if est.rate > 0.0 and (est.high - est.low) > (
+            min_rel_precision * est.rate
+        ):
+            return False
+    return True
+
+
+class Eq1PointRunner:
+    """One Eq. (1) operating point as a drivable step.
+
+    The step protocol the campaign executor (:mod:`repro.eval.campaign`)
+    drives to completion: :meth:`base_round` takes the point to its
+    base budget, :meth:`refine_once` executes at most one refinement
+    round (False = nothing left to do), :meth:`results` assembles the
+    estimates.
+
+    With ``replay_only=True`` the runner never decodes: any plan with
+    residual shots raises :class:`ResidualWorkNeeded` instead.  ``components``
+    may then be placeholders (only names are read), so "is this point
+    fully cached?" is answered by the *same* store-replay logic a live
+    run executes -- one source of truth for the campaign cache rule.
+    """
+
+    kind = "eq1"
+
+    def __init__(
+        self,
+        *,
+        components: Mapping[str, object],
+        parallel: Mapping[str, Tuple[str, str]],
+        dem,
+        p: float,
+        k_max: int,
+        seed: int,
+        shots_per_k: int,
+        shots_for_k: Optional[Callable[[int], int]] = None,
+        k_min: int = 1,
+        shards: int = 1,
+        batch_size: Optional[int] = None,
+        store: Optional[ExperimentStore] = None,
+        store_key: Optional[str] = None,
+        resume: bool = False,
+        pool: Optional[WorkerPool] = None,
+        replay_only: bool = False,
+    ) -> None:
+        self.replay_only = replay_only
+        self.shots_per_k = shots_per_k
+        self.shots_for_k = shots_for_k
+        self.session = Eq1Session(
+            components=components,
+            parallel_specs=parallel,
+            dem=dem,
+            p=p,
+            k_max=k_max,
+            rng=seed,
+            k_min=k_min,
+            shards=shards,
+            batch_size=batch_size,
+            store=store,
+            store_key=store_key,
+            resume=resume,
+            pool=pool,
+        )
+
+    def base_budget(self) -> int:
+        """Total base trials over the point's contributing k values."""
+        return sum(
+            self.shots_for_k(k) if self.shots_for_k is not None
+            else self.shots_per_k
+            for k in self.session.k_values
+        )
+
+    def base_round(self) -> None:
+        plan = self.session.base_plan(self.shots_per_k, self.shots_for_k)
+        if self.replay_only and any(n > 0 for n in plan.values()):
+            residual = sum(n for n in plan.values() if n > 0)
+            raise ResidualWorkNeeded(
+                f"{residual} residual Eq. (1) shots not covered by the "
+                f"store (config {self.session.store_key})"
+            )
+        self.session.evaluate_round(plan)
+
+    def refine_once(
+        self, min_rel_precision: float, max_refine_rounds: int = 6
+    ) -> bool:
+        plan = self.session.refinement_plan(
+            min_rel_precision, max_refine_rounds
+        )
+        if not plan:
+            return False
+        if self.replay_only:
+            raise ResidualWorkNeeded(
+                "refinement toward the precision target needs shots not "
+                f"covered by the store (config {self.session.store_key})"
+            )
+        self.session.evaluate_round(plan)
+        return True
+
+    def results(self) -> Dict[str, ImportanceLerResult]:
+        return self.session.assemble()
+
+
+class DirectPointRunner:
+    """One direct-MC operating point as a drivable step.
+
+    Same protocol as :class:`Eq1PointRunner`.  Refinement doubles the
+    accumulated trials (never a per-process round counter), capped at
+    ``2 ** max_refine_rounds`` times the base budget, and growth rounds
+    always resume against the store -- they replay the records the base
+    round just wrote.
+    """
+
+    kind = "direct"
+
+    def __init__(
+        self,
+        *,
+        decoders: Mapping[str, object],
+        dem,
+        p: float,
+        shots: int,
+        seed: int,
+        shards: int = 1,
+        batch_size: Optional[int] = None,
+        store: Optional[ExperimentStore] = None,
+        store_key: Optional[str] = None,
+        resume: bool = False,
+        pool: Optional[WorkerPool] = None,
+        replay_only: bool = False,
+    ) -> None:
+        self.decoders = decoders
+        self.dem = dem
+        self.p = p
+        self.shots = shots
+        self.seed = seed
+        self.shards = shards
+        self.batch_size = batch_size
+        self.store = store
+        self.store_key = store_key
+        self.resume = resume
+        self.pool = pool
+        self.replay_only = replay_only
+        self._results: Optional[Dict[str, DirectMonteCarloResult]] = None
+
+    def base_budget(self) -> int:
+        return self.shots
+
+    def _estimate(
+        self, shots: int, resume: bool
+    ) -> Dict[str, DirectMonteCarloResult]:
+        return estimate_ler_direct(
+            self.decoders,
+            self.dem,
+            self.p,
+            shots=shots,
+            rng=self.seed,
+            shards=self.shards,
+            batch_size=self.batch_size,
+            store=self.store,
+            store_key=self.store_key,
+            resume=resume,
+            pool=self.pool,
+            replay_only=self.replay_only,
+        )
+
+    def base_round(self) -> None:
+        self._results = self._estimate(self.shots, resume=self.resume)
+
+    def refine_once(
+        self, min_rel_precision: float, max_refine_rounds: int = 6
+    ) -> bool:
+        assert self._results is not None, "base_round must run first"
+        if _direct_target_met(self._results, min_rel_precision):
+            return False
+        # Next budget doubles the trials accumulated so far (not a
+        # per-process round counter), capped at 2**max_refine_rounds
+        # times the base.
+        current = next(iter(self._results.values())).estimate.trials
+        budget = 2 * max(self.shots, current)
+        if budget > self.shots * 2**max_refine_rounds:
+            return False
+        self._results = self._estimate(budget, resume=self.store is not None)
+        return True
+
+    def results(self) -> Dict[str, DirectMonteCarloResult]:
+        assert self._results is not None, "base_round must run first"
+        return self._results
 
 
 def _estimate_eq1(

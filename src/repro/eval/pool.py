@@ -1,8 +1,8 @@
 """Shared process-pool plumbing for sharded evaluation.
 
 Both the Eq. (1) estimators (:mod:`repro.eval.ler`), the high-HW
-censuses (:mod:`repro.eval.experiments`) and the sweep orchestrator
-(:mod:`repro.eval.sweep`) fan tiny index-only tasks over a pool of
+censuses (:mod:`repro.eval.experiments`) and the campaign executor
+(:mod:`repro.eval.campaign`) fan tiny index-only tasks over a pool of
 worker processes while the heavy per-run state (decoders, DEM, sampled
 batches) is shared out-of-band:
 
@@ -20,8 +20,8 @@ are identical however the tasks are scheduled.
 Persistent pools
 ----------------
 :class:`WorkerPool` keeps the worker processes alive across many
-``map`` calls, so a sweep pays the fork-and-import cost **once** instead
-of once per refinement round, k-slice batch, and grid point.  The shared
+``map`` calls, so a campaign pays the fork-and-import cost **once**
+instead of once per refinement round, k-slice batch, and grid point.  The shared
 state installed at fork time can be swapped between calls:
 
 * a payload identical (by object identity) to the installed one is a
@@ -30,7 +30,7 @@ state installed at fork time can be swapped between calls:
 * a new payload is broadcast to every worker through a
   barrier-synchronized task (each worker installs the pickled state
   exactly once) -- this is how one pool serves every (distance, p)
-  point of a sweep;
+  step of a campaign;
 * a payload that cannot be pickled falls back to recycling the pool, so
   fork-only state keeps working at one fork per payload change.
 

@@ -253,8 +253,8 @@ def atomic_write_json(path, payload, *, sort_keys: bool = False) -> Path:
     """Write a JSON artifact via the store's temp-file + rename dance.
 
     A kill mid-write leaves the previous file (or no file) in place,
-    never a truncated JSON document.  Used by ``SweepResult.save``, the
-    campaign artifact writer, and the benchmark result files.
+    never a truncated JSON document.  Used by the campaign artifact
+    writer and the benchmark result files.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -18,13 +18,14 @@ from repro.eval.campaign import (
     run_campaign,
     step_coverage,
 )
-from repro.eval.ler import estimate_ler_suite
-from repro.eval.pool import pool_spinups
+from repro.eval.ler import estimate_ler_importance, estimate_ler_suite
+from repro.eval.pool import WorkerPool, pool_spinups
 from repro.eval.store import ArtifactRecord, ExperimentStore, config_key
 from repro.utils.rng import stable_seed
 
 DISTANCE = 3
 P = 3e-3
+ERROR_RATES = (3e-3, 5e-3)
 
 
 class CountingDecoder:
@@ -159,6 +160,14 @@ class TestSpecCompilation:
     def test_rejects_parallel_with_unknown_components(self, tmp_path):
         body = LER_BODY.replace('["MWPM", "UF"]', '["MWPM", "missing"]', 1)
         with pytest.raises(ValueError, match="unknown"):
+            load(tmp_path, body)
+
+    @pytest.mark.parametrize(
+        "axis", ["distances", "error_rates"], ids=["distances", "error_rates"]
+    )
+    def test_rejects_empty_axes(self, tmp_path, axis):
+        body = LER_BODY.replace('kind = "direct"', f'kind = "direct"\n{axis} = []')
+        with pytest.raises(ValueError, match="at least one distance"):
             load(tmp_path, body)
 
     def test_rejects_parallel_on_direct_step(self, tmp_path):
@@ -399,6 +408,142 @@ class TestCacheRule:
             assert [row["failures"] for row in payload["per_k"]] == [
                 est.successes for _k, _po, est in legacy[name].per_k
             ]
+
+
+def grid_body(kind="eq1", extra=""):
+    """One step over two error rates (``extra`` lines go into the step)."""
+    body = (
+        "[[steps]]\n"
+        'name = "grid"\n'
+        f'kind = "{kind}"\n'
+        f"error_rates = [{ERROR_RATES[0]}, {ERROR_RATES[1]}]\n"
+        'decoders = ["MWPM", "UF"]\n'
+        "shots_per_k = 40\n"
+        "shots = 600\n" + extra
+    )
+    if kind == "eq1":
+        body += '[steps.parallel]\n"MWPM || UF" = ["MWPM", "UF"]\n'
+    return body
+
+
+class TestResumeAndPool:
+    """Kill-mid-grid resume, refinement, and one pool per run."""
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            ("eq1", "min_rel_precision = 0.6\n"),
+            # Unreachable target: the counts-based refinement cap decides
+            # where both the fresh and the resumed run stop.
+            ("eq1", "min_rel_precision = 0.01\nmax_refine_rounds = 2\n"),
+            ("direct", ""),
+        ],
+        ids=["eq1-refining", "eq1-cap-binds", "direct"],
+    )
+    def test_kill_mid_grid_resumes_bitwise(
+        self, tmp_path, bench_factory, kind, extra
+    ):
+        """A run killed mid-grid leaves a prefix of its slice records;
+        the re-run reproduces the uninterrupted artifact bitwise while
+        decoding exactly the residual shots."""
+        body = grid_body(kind, extra)
+        full_store = ExperimentStore(tmp_path / "full.jsonl")
+        fresh = run_campaign(
+            load(tmp_path, body), store=full_store,
+            workbench_factory=bench_factory,
+        )
+        full_shots = decoded_shots(bench_factory)
+        records = full_store.records()
+        assert len(records) >= 2  # spans both grid points
+
+        bench_factory.built.clear()
+        killed_store = ExperimentStore(tmp_path / "killed.jsonl")
+        surviving = records[: len(records) // 2]
+        for record in surviving:
+            killed_store.append(record)
+        resumed = run_campaign(
+            load(tmp_path, body), store=killed_store,
+            workbench_factory=bench_factory,
+        )
+        assert resumed.executed
+        assert resumed.to_payload() == fresh.to_payload()
+        assert len(killed_store.records()) == len(records)
+        # Both decoders of a point decode each of its slices' shots.
+        stored_shots = sum(record.shots for record in surviving)
+        assert decoded_shots(bench_factory) == full_shots - 2 * stored_shots
+
+    def test_sharded_equals_inline_with_refinement(
+        self, tmp_path, bench_factory
+    ):
+        """Pre-seeded slices: any shard width gives the inline results."""
+        body = grid_body(extra="min_rel_precision = 0.6\n")
+        payloads = {}
+        for shards in (1, 2, 3):
+            result = run_campaign(
+                load(tmp_path, body, cli={"shards": shards}),
+                store=ExperimentStore(tmp_path / f"s{shards}.jsonl"),
+                workbench_factory=bench_factory,
+            )
+            payloads[shards] = result.to_payload()
+        assert payloads[2] == payloads[1]
+        assert payloads[3] == payloads[1]
+
+    def test_one_fork_for_refining_multi_step_run(
+        self, tmp_path, bench_factory
+    ):
+        """Two refining steps fork the worker set exactly once; the
+        per-call estimators fork at least once per point."""
+        body = grid_body(
+            extra="min_rel_precision = 0.4\nmax_refine_rounds = 3\n"
+        )
+        before = pool_spinups()
+        result = run_campaign(
+            load(tmp_path, body, cli={"shards": 2}),
+            workbench_factory=bench_factory,
+        )
+        persistent_spinups = pool_spinups() - before
+        assert len(result.executed) == 2
+        for outcome in result.outcomes:
+            payload = outcome.payload
+            assert payload["decoders"]["MWPM"]["trials"] > payload["budget"]
+        assert result.pool_forks == 1
+        assert persistent_spinups == 1
+
+        before = pool_spinups()
+        for bench in list(bench_factory.built):
+            estimate_ler_importance(
+                {"MWPM": bench.decoders["MWPM"], "UF": bench.decoders["UF"]},
+                bench.dem,
+                bench.p,
+                k_max=4,
+                shots_per_k=40,
+                rng=7,
+                shards=2,
+                min_rel_precision=0.4,
+                max_refine_rounds=3,
+            )
+        assert pool_spinups() - before >= 2 * persistent_spinups
+
+    def test_external_pool_is_left_open(self, tmp_path, bench_factory):
+        with WorkerPool(2) as pool:
+            run_campaign(
+                load(tmp_path, grid_body(), cli={"shards": 2}),
+                pool=pool,
+                workbench_factory=bench_factory,
+            )
+            # The pool stays usable after the run.
+            assert pool.map(1, _echo_shared, [0]) == [1]
+
+    def test_unknown_zoo_decoder_raises(self, tmp_path, bench_factory):
+        body = grid_body("direct").replace('["MWPM", "UF"]', '["NotADecoder"]')
+        with pytest.raises(ValueError, match="unknown decoders"):
+            run_campaign(load(tmp_path, body), workbench_factory=bench_factory)
+
+
+def _echo_shared(_task):
+    from repro.eval.pool import pool_shared
+
+    return pool_shared()
 
 
 CENSUS_BODY = """

@@ -1,18 +1,18 @@
-"""Sweep orchestrator: grid validation, kill-mid-grid resume, pool reuse."""
+"""``repro sweep`` as a flag-built campaign: spec validation and re-runs.
+
+The sweep flags compile to a one-entry campaign through the same
+compiler as a TOML spec, so a bad grid is rejected with the same
+errors, and the store is the sweep's cache.
+"""
 
 from types import SimpleNamespace
 
 import pytest
 
+from repro.cli import _sweep_campaign, _sweep_spec, build_parser
 from repro.decoders import MWPMDecoder, UnionFindDecoder
-from repro.eval import pool as pool_module
-from repro.eval.ler import estimate_ler_importance
-from repro.eval.pool import WorkerPool
-from repro.eval.store import ExperimentStore, config_key
-from repro.eval.sweep import SweepGrid, run_sweep
-
-DISTANCE = 3
-ERROR_RATES = (3e-3, 5e-3)
+from repro.eval.campaign import _compile, run_campaign
+from repro.eval.knobs import CORE_KNOBS
 
 
 class CountingDecoder:
@@ -23,10 +23,6 @@ class CountingDecoder:
         self.graph = inner.graph
         self.shots_decoded = 0
 
-    def decode(self, events):
-        self.shots_decoded += 1
-        return self.inner.decode(events)
-
     def decode_batch(self, batch):
         self.shots_decoded += len(getattr(batch, "events", batch))
         return self.inner.decode_batch(batch)
@@ -34,298 +30,83 @@ class CountingDecoder:
 
 @pytest.fixture()
 def bench_factory(d3_stack):
-    """A Workbench-like factory over the shared d=3 stack.
-
-    Rebuilding the weighted graph per p is cheap at d=3; the counting
-    decoders let tests assert how many residual shots a resume pays.
-    """
+    """A Workbench-like factory over the shared d=3 stack whose decoders
+    count every shot they decode."""
     from repro.graph import build_decoding_graph
 
     _exp, dem, _graph = d3_stack
     built = []
 
     def factory(distance, p):
-        assert distance == DISTANCE
         graph = build_decoding_graph(dem, p)
         decoders = {
             "MWPM": CountingDecoder(MWPMDecoder(graph)),
             "UF": CountingDecoder(UnionFindDecoder(graph)),
         }
-        bench = SimpleNamespace(
-            distance=distance,
-            p=p,
-            dem=dem,
-            decoders=decoders,
-            store_key=lambda kind, p=p: config_key(
-                code="test", distance=distance, p=p, kind=kind
-            ),
-        )
-        built.append(bench)
-        return bench
+        built.append(SimpleNamespace(
+            distance=distance, p=p, dem=dem, graph=graph, decoders=decoders
+        ))
+        return built[-1]
 
     factory.built = built
     return factory
 
 
-def small_grid(kind="eq1"):
-    return SweepGrid(
-        distances=(DISTANCE,),
-        error_rates=ERROR_RATES,
-        kind=kind,
-        decoders=("MWPM", "UF"),
-        parallel={"MWPM || UF": ("MWPM", "UF")} if kind == "eq1" else {},
-        shots_per_k=40,
-        k_max=4,
-        shots=600,
-    )
+def sweep_args(*flags):
+    return build_parser().parse_args([
+        "sweep", "--distances", "3", "--ps", "3e-3,5e-3",
+        "--decoders", "MWPM,UF", "--shots-per-k", "40", "--k-max", "4",
+        *flags,
+    ])
 
 
-def comparable(result):
-    """The deterministic part of the artifact (run stats excluded)."""
-    payload = result.to_payload()
-    payload.pop("stats")
-    return payload
-
-
-def decoded_shots(factory):
-    return sum(
-        decoder.shots_decoded
-        for bench in factory.built
-        for decoder in bench.decoders.values()
-    )
+def compile_with_parallel(args, parallel):
+    raw, cli = _sweep_spec(args)
+    raw["steps"][0]["parallel"] = parallel
+    return _compile(raw, cli, CORE_KNOBS, None)
 
 
 class TestGridValidation:
     def test_rejects_bad_kind(self):
+        args = sweep_args()
+        args.method = "magic"
         with pytest.raises(ValueError, match="kind"):
-            SweepGrid(distances=(3,), error_rates=(1e-3,), kind="magic")
-
-    def test_rejects_empty_axes(self):
-        with pytest.raises(ValueError):
-            SweepGrid(distances=(), error_rates=(1e-3,))
-        with pytest.raises(ValueError):
-            SweepGrid(distances=(3,), error_rates=())
+            _sweep_campaign(args)
 
     def test_rejects_unknown_parallel_components(self):
         with pytest.raises(ValueError, match="unknown components"):
-            SweepGrid(
-                distances=(3,),
-                error_rates=(1e-3,),
-                decoders=("MWPM",),
-                parallel={"bad": ("MWPM", "missing")},
-            )
+            compile_with_parallel(sweep_args(), {"bad": ["MWPM", "missing"]})
 
     def test_rejects_parallel_for_direct(self):
         with pytest.raises(ValueError, match="eq1"):
-            SweepGrid(
-                distances=(3,),
-                error_rates=(1e-3,),
-                kind="direct",
-                decoders=("MWPM", "UF"),
-                parallel={"MWPM || UF": ("MWPM", "UF")},
+            compile_with_parallel(
+                sweep_args("--method", "direct"),
+                {"MWPM || UF": ["MWPM", "UF"]},
             )
-
-    def test_rejects_unknown_zoo_decoder(self, bench_factory):
-        grid = SweepGrid(
-            distances=(DISTANCE,),
-            error_rates=(3e-3,),
-            decoders=("NotADecoder",),
-            shots_per_k=10,
-            k_max=3,
-        )
-        with pytest.raises(ValueError, match="unknown decoders"):
-            run_sweep(grid, workbench_factory=bench_factory)
-
-    def test_points_walk_order(self):
-        grid = SweepGrid(distances=(3, 5), error_rates=(1e-3, 2e-3))
-        assert grid.points() == [
-            (3, 1e-3), (3, 2e-3), (5, 1e-3), (5, 2e-3)
-        ]
 
 
 class TestResume:
-    def test_kill_mid_grid_resumes_bitwise(self, bench_factory, tmp_path):
-        """The acceptance scenario: a sweep killed mid-grid leaves a
-        prefix of its slice records in the shared store; resuming must
-        reproduce the uninterrupted grid bitwise while decoding exactly
-        the residual shots."""
-        grid = small_grid()
-        full_store = ExperimentStore(tmp_path / "full.jsonl")
-        uninterrupted = run_sweep(
-            grid,
-            store=full_store,
-            min_rel_precision=0.6,
-            workbench_factory=bench_factory,
-        )
-        full_shots = decoded_shots(bench_factory)
-        records = full_store.records()
-        assert len(records) >= 4  # spans both grid points
-
-        bench_factory.built.clear()
-        killed_store = ExperimentStore(tmp_path / "killed.jsonl")
-        surviving = records[: len(records) // 2]
-        for record in surviving:
-            killed_store.append(record)
-        resumed = run_sweep(
-            grid,
-            store=killed_store,
-            resume=True,
-            min_rel_precision=0.6,
-            workbench_factory=bench_factory,
-        )
-        assert comparable(resumed) == comparable(uninterrupted)
-        stored_shots = sum(record.shots for record in surviving)
-        # Every decoder of a point decodes each of its slices' shots, so
-        # the replayed shot saving is (decoders per point) * stored.
-        names_per_point = 2
-        assert (
-            decoded_shots(bench_factory)
-            == full_shots - names_per_point * stored_shots
-        )
-        assert len(killed_store.records()) == len(records)
-
-    def test_resume_matches_fresh_when_round_cap_binds(
-        self, bench_factory, tmp_path
-    ):
-        """Regression: the refinement stopping rule must be a function
-        of the accumulated counts, not of rounds executed by the current
-        process.  With an unreachable precision target the cap binds;
-        a resumed run used to get a fresh round budget and overshoot."""
-        grid = small_grid()
-        kwargs = dict(
-            min_rel_precision=0.01,  # unreachable: the cap decides
-            max_refine_rounds=2,
-            workbench_factory=bench_factory,
-        )
-        full_store = ExperimentStore(tmp_path / "full.jsonl")
-        uninterrupted = run_sweep(grid, store=full_store, **kwargs)
-        records = full_store.records()
-
-        killed_store = ExperimentStore(tmp_path / "killed.jsonl")
-        for record in records[: len(records) // 2]:
-            killed_store.append(record)
-        resumed = run_sweep(grid, store=killed_store, resume=True, **kwargs)
-        assert comparable(resumed) == comparable(uninterrupted)
-        assert len(killed_store.records()) == len(records)
-
     def test_full_resume_decodes_nothing(self, bench_factory, tmp_path):
-        grid = small_grid()
-        store = ExperimentStore(tmp_path / "s.jsonl")
-        first = run_sweep(
-            grid, store=store, min_rel_precision=0.6,
-            workbench_factory=bench_factory,
+        args = sweep_args(
+            "--min-rel-precision", "0.6", "--store", str(tmp_path / "s.jsonl")
+        )
+        first = run_campaign(
+            _sweep_campaign(args), workbench_factory=bench_factory
+        )
+        assert len(first.executed) == 2
+        assert any(
+            decoder.shots_decoded
+            for bench in bench_factory.built
+            for decoder in bench.decoders.values()
         )
         bench_factory.built.clear()
-        resumed = run_sweep(
-            grid, store=store, resume=True, min_rel_precision=0.6,
-            workbench_factory=bench_factory,
+        rerun = run_campaign(
+            _sweep_campaign(args), workbench_factory=bench_factory
         )
-        assert comparable(resumed) == comparable(first)
-        assert decoded_shots(bench_factory) == 0
-
-    def test_direct_kill_mid_grid_resumes_bitwise(
-        self, bench_factory, tmp_path
-    ):
-        grid = small_grid(kind="direct")
-        full_store = ExperimentStore(tmp_path / "full.jsonl")
-        uninterrupted = run_sweep(
-            grid, store=full_store, workbench_factory=bench_factory
+        assert rerun.to_payload() == first.to_payload()
+        assert not rerun.executed
+        assert not any(
+            decoder.shots_decoded
+            for bench in bench_factory.built
+            for decoder in bench.decoders.values()
         )
-        records = full_store.records()
-        assert len(records) >= 2
-
-        bench_factory.built.clear()
-        killed_store = ExperimentStore(tmp_path / "killed.jsonl")
-        for record in records[:1]:
-            killed_store.append(record)
-        resumed = run_sweep(
-            grid, store=killed_store, resume=True,
-            workbench_factory=bench_factory,
-        )
-        assert comparable(resumed) == comparable(uninterrupted)
-        assert len(killed_store.records()) == len(records)
-
-    def test_fresh_run_on_dirty_store_rejected(self, bench_factory, tmp_path):
-        """A fresh (resume=False) sweep against a store that already
-        holds records for one of its points would collide on run indices
-        and feed the growth rounds stale slices -- refuse it."""
-        grid = small_grid()
-        store = ExperimentStore(tmp_path / "s.jsonl")
-        run_sweep(grid, store=store, workbench_factory=bench_factory)
-        with pytest.raises(ValueError, match="resume=True"):
-            run_sweep(grid, store=store, workbench_factory=bench_factory)
-
-    def test_usable_trials_reported(self, bench_factory, tmp_path):
-        grid = small_grid()
-        store = ExperimentStore(tmp_path / "s.jsonl")
-        result = run_sweep(grid, store=store, workbench_factory=bench_factory)
-        for entry in result.points:
-            assert entry.usable_trials is not None
-            assert entry.usable_trials == sum(
-                record.shots
-                for record in store.records()
-                if record.config == entry.store_key
-            )
-
-
-class TestPoolReuse:
-    def test_sharded_equals_inline(self, bench_factory, tmp_path):
-        """The persistent-pool path must produce the inline results at
-        any shard width (pre-seeded slices; scheduling-independent)."""
-        grid = small_grid()
-        inline = run_sweep(
-            grid, shards=1, min_rel_precision=0.6,
-            workbench_factory=bench_factory,
-        )
-        for shards in (2, 3):
-            sharded = run_sweep(
-                grid, shards=shards, min_rel_precision=0.6,
-                workbench_factory=bench_factory,
-            )
-            assert comparable(sharded) == comparable(inline)
-
-    def test_one_fork_for_whole_sweep(self, bench_factory):
-        """A 2-point, multi-refinement-round sweep forks its worker set
-        exactly once; the per-call baseline forks per sharded round."""
-        grid = small_grid()
-        before = pool_module.pool_spinups()
-        result = run_sweep(
-            grid, shards=2, min_rel_precision=0.4, max_refine_rounds=3,
-            workbench_factory=bench_factory,
-        )
-        persistent_spinups = pool_module.pool_spinups() - before
-        assert result.pool_forks == 1
-        assert persistent_spinups == 1
-
-        # Per-call baseline: the same work through the one-shot
-        # estimators (no pool) forks at least once per grid point.
-        before = pool_module.pool_spinups()
-        for bench in list(bench_factory.built):
-            estimate_ler_importance(
-                {"MWPM": bench.decoders["MWPM"], "UF": bench.decoders["UF"]},
-                bench.dem,
-                bench.p,
-                k_max=grid.k_max,
-                shots_per_k=grid.shots_per_k,
-                rng=7,
-                shards=2,
-                min_rel_precision=0.4,
-                max_refine_rounds=3,
-            )
-        baseline_spinups = pool_module.pool_spinups() - before
-        assert baseline_spinups >= 2 * persistent_spinups
-
-    def test_external_pool_is_not_closed(self, bench_factory):
-        grid = small_grid()
-        with WorkerPool(2) as pool:
-            run_sweep(
-                grid, shards=2, pool=pool, workbench_factory=bench_factory
-            )
-            # The pool stays usable after the sweep.
-            assert pool.map(1, _echo_shared, [0]) == [1]
-
-
-def _echo_shared(_task):
-    from repro.eval.pool import pool_shared
-
-    return pool_shared()

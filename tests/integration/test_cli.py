@@ -1,8 +1,11 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.utils.rng import stable_seed
 
 
 class TestParser:
@@ -30,12 +33,13 @@ class TestParser:
                 "--ps", "1e-3,3e-3",
                 "--min-rel-precision", "0.3",
                 "--store", "s.jsonl",
-                "--resume",
             ]
         )
         assert args.distances == "3,5"
         assert args.min_rel_precision == 0.3
-        assert args.resume
+        # The store is the sweep's cache: there is nothing to opt into.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--resume"])
 
 
 class TestCommands:
@@ -79,7 +83,7 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["ler", "--distance", "3", "--decoders", "NotADecoder"])
 
-    def test_sweep_with_store_resume_and_artifact(self, capsys, tmp_path):
+    def test_sweep_rerun_is_cached_and_bitwise(self, capsys, tmp_path):
         store = tmp_path / "grid.jsonl"
         argv = [
             "sweep",
@@ -94,19 +98,41 @@ class TestCommands:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "sweep (eq1) | d=3" in out
-        assert "usable trials in store" in out
+        assert "executed 2 steps, skipped 0 cached steps" in out
         assert store.exists()
+        stored = store.read_bytes()
 
         argv[-1] = str(tmp_path / "second.json")
-        assert main(argv + ["--resume"]) == 0
-        capsys.readouterr()
-        import json
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "executed 0 steps, skipped 2 cached steps" in out
+        assert "pool forks 0" in out
+        assert store.read_bytes() == stored
+        assert (
+            (tmp_path / "first.json").read_bytes()
+            == (tmp_path / "second.json").read_bytes()
+        )
 
-        first = json.loads((tmp_path / "first.json").read_text())
-        second = json.loads((tmp_path / "second.json").read_text())
-        first.pop("stats")
-        second.pop("stats")
-        assert first == second
+    @pytest.mark.parametrize("method", ["eq1", "direct"])
+    def test_sweep_step_seeds_are_sweep_point_seeds(
+        self, capsys, tmp_path, method
+    ):
+        """Compiled step seeds equal the per-point seeds earlier sweep
+        stores were written with, so those stores stay valid."""
+        out = tmp_path / "grid.json"
+        assert main([
+            "sweep", "--method", method, "--seed", "7",
+            "--distances", "3", "--ps", "2e-3,4e-3", "--decoders", "MWPM",
+            "--shots-per-k", "10", "--k-max", "3", "--shots", "200",
+            "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        steps = json.loads(out.read_text())["steps"]
+        assert len(steps) == 2
+        for payload in steps.values():
+            assert payload["seed"] == stable_seed(
+                "sweep-point", 7, payload["distance"], payload["p"], method
+            )
 
     def test_sweep_unknown_decoder(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -251,6 +277,14 @@ class TestCampaignCommand:
         assert "executed 0 steps, skipped 1 cached steps" in text
         assert "pool forks 0" in text
         assert out.read_bytes() == first
+
+    def test_run_unknown_decoder_exits(self, tmp_path):
+        spec = self._write_spec(tmp_path)
+        spec.write_text(
+            spec.read_text().replace('["MWPM"]', '["NotADecoder"]')
+        )
+        with pytest.raises(SystemExit, match="unknown decoders"):
+            main(["campaign", "run", str(spec)])
 
     def test_store_info_campaign_coverage(self, capsys, tmp_path):
         spec = self._write_spec(tmp_path)
